@@ -9,14 +9,19 @@ CHAOS_SEED_FILE := .github/chaos-seeds.json
 # Likewise for the fusion fuzz sweep (CI fusion-fuzz job).
 FUSION_FUZZ_SEED_FILE := .github/fusion-fuzz-seeds.json
 
-.PHONY: install test chaos fusion-fuzz bench bench-smoke bench-regression \
-        serve-load figures examples clean
+.PHONY: install test layerbench-test chaos fusion-fuzz bench bench-smoke \
+        bench-regression serve-load figures examples clean
 
 install:
 	pip install -e .[test] || pip install -e . --no-build-isolation
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# Helper tests of the layer-ledger benchmark (outside tests/, so not in
+# the tier-1 run); mirrored by a step of the CI test job.
+layerbench-test:
+	PYTHONPATH=src $(PYTHON) -m pytest layerbench/test_bench.py -q
 
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

@@ -23,7 +23,6 @@ short-circuiting stages fall back to the per-element path.
 from __future__ import annotations
 
 import abc
-import functools
 from contextlib import contextmanager
 from typing import Any, Callable, Generic, Iterable, Sequence, TypeVar
 
@@ -90,14 +89,6 @@ class ChainedSink(Sink[T]):
 
     def cancellation_requested(self) -> bool:
         return self.downstream.cancellation_requested()
-
-
-class TerminalSink(Sink[T]):
-    """A sink that also yields a result once traversal finishes."""
-
-    def get(self) -> Any:
-        """The terminal operation's result."""
-        raise NotImplementedError
 
 
 class Op(abc.ABC):
@@ -495,89 +486,6 @@ class DropWhileOp(Op):
 
 
 # --------------------------------------------------------------------------- #
-# Terminal sinks
-# --------------------------------------------------------------------------- #
-
-
-class AccumulatorSink(TerminalSink):
-    """Terminal sink folding elements into a mutable container.
-
-    Shared by sequential ``collect`` and the fork/join leaves.  When the
-    collector supplies a chunk accumulator (``to_list`` → ``extend``,
-    ``counting`` → ``+= len``, …) whole chunks fold in one call; otherwise
-    chunks fall back to an in-sink per-element loop.
-    """
-
-    __slots__ = ("container", "_accumulate", "_accumulate_chunk", "_cancel")
-
-    def __init__(
-        self,
-        container: Any,
-        accumulate: Callable[[Any, Any], None],
-        accumulate_chunk: Callable[[Any, Sequence], None] | None = None,
-        cancel: Any = None,
-    ) -> None:
-        self.container = container
-        self._accumulate = accumulate
-        self._accumulate_chunk = accumulate_chunk
-        self._cancel = cancel
-
-    def accept(self, item: Any) -> None:
-        self._accumulate(self.container, item)
-
-    def accept_chunk(self, chunk: Sequence) -> None:
-        if self._accumulate_chunk is not None:
-            self._accumulate_chunk(self.container, chunk)
-        else:
-            accumulate, container = self._accumulate, self.container
-            for item in chunk:
-                accumulate(container, item)
-
-    def cancellation_requested(self) -> bool:
-        return self._cancel is not None and self._cancel.is_set()
-
-    def get(self) -> Any:
-        return self.container
-
-
-class ReducingSink(TerminalSink):
-    """Terminal sink for immutable reduction (``Stream.reduce``).
-
-    Keeps ``(value, seen_any)``; chunks fold through ``functools.reduce``
-    (one C-level loop) instead of one sink call per element.
-    """
-
-    __slots__ = ("value", "seen", "_op")
-
-    def __init__(self, op: Callable[[Any, Any], Any], identity: Any = None,
-                 has_identity: bool = False) -> None:
-        self.value = identity
-        self.seen = has_identity
-        self._op = op
-
-    def accept(self, item: Any) -> None:
-        if self.seen:
-            self.value = self._op(self.value, item)
-        else:
-            self.value = item
-            self.seen = True
-
-    def accept_chunk(self, chunk: Sequence) -> None:
-        it = iter(chunk)
-        if not self.seen:
-            for first in it:
-                self.value = first
-                self.seen = True
-                break
-            else:
-                return
-        self.value = functools.reduce(self._op, it, self.value)
-
-    def get(self) -> Any:
-        return self.value
-
-
-# --------------------------------------------------------------------------- #
 # Traversal
 # --------------------------------------------------------------------------- #
 
@@ -703,8 +611,8 @@ def select_mode(ops: list[Op], force_short_circuit: bool = False) -> str:
 
     Returns ``"short_circuit"`` (per-element with polling), ``"chunked"``
     (bulk path), or ``"element"``.  Shared verbatim by
-    :func:`run_pipeline`, its profiled twin, and ``Stream.explain()`` so
-    plans can never drift from execution.
+    :func:`run_pipeline` and ``Stream.explain()`` so plans can never
+    drift from execution.
     """
     if force_short_circuit:
         return "short_circuit"
@@ -749,49 +657,23 @@ def run_pipeline(
     Returns ``terminal`` so callers can read its result.
     """
     ops = _fusion.maybe_fuse(ops)
-    profiler = current_profiler()
-    if profiler is not None:
-        return _run_pipeline_profiled(
-            spliterator, ops, terminal, force_short_circuit, profiler,
-            chunk_size,
-        )
-    sink = wrap_ops(ops, terminal)
     mode = select_mode(ops, force_short_circuit)
+    profiler = current_profiler()
+    probes = labels = None
+    if profiler is not None and profiler.sample():
+        sink, probes, labels = profiler.instrument(ops, terminal)
+    else:
+        sink = wrap_ops(ops, terminal)
     if mode == "chunked":
         _bulk_stats["chunked"] += 1
         copy_into_chunked(spliterator, sink, chunk_size or CHUNK_SIZE)
     else:
         _bulk_stats["element"] += 1
         copy_into(spliterator, sink, mode == "short_circuit")
-    return terminal
-
-
-def _run_pipeline_profiled(
-    spliterator: Spliterator,
-    ops: list[Op],
-    terminal: Sink,
-    force_short_circuit: bool,
-    profiler,
-    chunk_size: int | None = None,
-) -> Sink:
-    """The profiled twin of :func:`run_pipeline` (same mode selection and
-    ``_bulk_stats`` accounting, already-fused ``ops``).
-
-    Kept separate so the unprofiled hot path above pays exactly one
-    ``is None`` check for the profiler — no extra branches, no wrappers.
-    """
-    mode = select_mode(ops, force_short_circuit)
-    _bulk_stats["chunked" if mode == "chunked" else "element"] += 1
-    if profiler.sample():
-        sink, probes, labels = profiler.instrument(ops, terminal)
-    else:
-        sink, probes, labels = wrap_ops(ops, terminal), None, None
-    if mode == "chunked":
-        copy_into_chunked(spliterator, sink, chunk_size or CHUNK_SIZE)
-    else:
-        copy_into(spliterator, sink, mode == "short_circuit")
-    fused = sum(1 for op in ops if type(op) is _fusion.FusedOp)
-    profiler.profile.record_traversal(mode, probes, labels, fused)
+    if profiler is not None:
+        # Unsampled traversals still count toward the mode aggregates.
+        fused = sum(1 for op in ops if type(op) is _fusion.FusedOp)
+        profiler.profile.record_traversal(mode, probes, labels, fused)
     return terminal
 
 

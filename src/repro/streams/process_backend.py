@@ -40,8 +40,9 @@ Shipping modes (reported by ``Stream.explain()``):
 Constraints: every user function crossing the boundary (ops, predicates,
 reduce operators, collectors) must pickle — module-level functions,
 ``functools.partial``, ``operator.*``.  Stock collectors built from
-lambdas are handled by an automatic fallback where leaves return their
-element lists and the parent folds them in order.  ``for_each`` actions
+lambdas, and three-argument ``reduce`` calls with lambdas, are handled by
+an automatic fallback where leaves return their element lists and the
+parent folds them in order.  ``for_each`` actions
 run *in the worker process*: side effects on parent state are invisible —
 use ``backend='threads'`` for those.
 """
@@ -51,7 +52,7 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -66,19 +67,10 @@ from repro.streams import adaptive
 from repro.streams.fusion import fusion as _fusion_scope
 from repro.streams.fusion import fusion_enabled as _fusion_enabled
 from repro.streams import ops as _ops
-from repro.streams.collector import Collector
-from repro.streams.ops import (
-    AccumulatorSink,
-    CHUNK_SIZE,
-    LimitOp,
-    Op,
-    ReducingSink,
-    Sink,
-    run_pipeline,
-)
-from repro.streams.optional import Optional
+from repro.streams.ops import CHUNK_SIZE, LimitOp, Op
 from repro.streams.spliterator import Spliterator, UNKNOWN_SIZE
 from repro.streams.spliterators import ListSpliterator, RangeSpliterator
+from repro.streams.terminal import PrefixBudget, TerminalSpec
 
 # --------------------------------------------------------------------------- #
 # The shared executor (lazy: forking workers is expensive, reuse them)
@@ -211,14 +203,6 @@ def shipping_mode(spliterator: Spliterator) -> str:
     return "pickle"
 
 
-def _check_picklable(what: str, *objects: Any) -> bool:
-    try:
-        pickle.dumps(objects)
-        return True
-    except Exception:
-        return False
-
-
 def _require_picklable(what: str, *objects: Any) -> None:
     try:
         pickle.dumps(objects)
@@ -236,135 +220,27 @@ def _require_picklable(what: str, *objects: Any) -> None:
 # --------------------------------------------------------------------------- #
 
 
-def _append(container: list, item: Any) -> None:
-    container.append(item)
-
-
-def _extend(container: list, chunk) -> None:
-    container.extend(chunk)
-
-
-class _CancellableReducingSink(ReducingSink):
-    """A ReducingSink that also honors the batch's shared cancel flag.
-
-    ``copy_into_chunked`` polls ``cancellation_requested`` once per chunk,
-    so a running reduce leaf aborts at the next chunk boundary after the
-    parent (or a sibling worker) sets the flag.  An aborted leaf's partial
-    value is never merged — the parent discards results of cancelled runs.
-    """
-
-    __slots__ = ("_cancel",)
-
-    def __init__(self, op, identity=None, has_identity=False, cancel=None):
-        super().__init__(op, identity, has_identity)
-        self._cancel = cancel
-
-    def cancellation_requested(self):
-        return self._cancel is not None and self._cancel.is_set()
-
-
 def _run_leaf(payload: tuple) -> Any:
-    """Top-level worker entry point (module-level so it pickles).
+    """Top-level worker entry point (module-level so it pickles): run the
+    shipped spec's leaf on the rebuilt source.
 
-    Re-fuses the shipped op chain and re-applies the parent's bulk/fusion
-    flags, so the child's ``run_pipeline`` makes the same mode decisions
-    the parent would have — a long-lived worker forked before a flag
-    changed must not keep the stale inherited value.
+    Re-applies the parent's bulk/fusion flags, so the child's
+    ``run_pipeline`` re-fuses the shipped op chain and makes the same mode
+    decisions the parent would have — a long-lived worker forked before a
+    flag changed must not keep the stale inherited value.
 
-    Every sink built here wires in the batch's shared cancellation flag
+    The leaf sink polls the batch's shared cancellation flag
     (:func:`repro.jplf.process_executor.current_leaf_cancel`): when the
     parent aborts the run or another worker's match/find leaf hits a
     witness, this leaf stops at its next poll point — a chunk boundary
     for the bulk terminals, the next element for short-circuit ones —
     instead of scanning to completion.
     """
-    source_spec, ops, terminal, bulk_enabled, fusion_on, chunk_size = payload
-    spliterator = _rebuild_source(source_spec)
-    cancel = current_leaf_cancel()
+    source_spec, ops, spec, bulk_enabled, fusion_on, chunk_size = payload
     with _ops.bulk_execution(bulk_enabled), _fusion_scope(fusion_on):
-        kind = terminal[0]
-        if kind == "collect":
-            collector = terminal[1]
-            sink = AccumulatorSink(
-                collector.supplier()(),
-                collector.accumulator(),
-                collector.chunk_accumulator(),
-                cancel=cancel,
-            )
-            run_pipeline(spliterator, ops, sink, chunk_size=chunk_size)
-            return sink.container
-        if kind == "elements":
-            sink = AccumulatorSink([], _append, _extend, cancel=cancel)
-            run_pipeline(spliterator, ops, sink, chunk_size=chunk_size)
-            return sink.container
-        if kind == "reduce":
-            _, op, identity, has_identity = terminal
-            sink = run_pipeline(
-                spliterator, ops,
-                _CancellableReducingSink(op, identity, has_identity, cancel),
-                chunk_size=chunk_size,
-            )
-            return (sink.value, sink.seen)
-        if kind == "for_each":
-            action = terminal[1]
-
-            class _ForEach(Sink):
-                def accept(self, item):
-                    action(item)
-
-                def cancellation_requested(self):
-                    return cancel is not None and cancel.is_set()
-
-            run_pipeline(spliterator, ops, _ForEach(), chunk_size=chunk_size)
-            return None
-        if kind == "match":
-            _, predicate, match_kind = terminal
-            if match_kind == "all":
-                trigger = lambda item: not predicate(item)  # noqa: E731
-            else:
-                trigger = predicate
-            found = [False]
-
-            class _MatchSink(Sink):
-                def accept(self, item):
-                    if not found[0] and trigger(item):
-                        found[0] = True
-                        if cancel is not None:
-                            # A witness anywhere decides the whole match
-                            # (any → True, all/none → False): broadcast so
-                            # RUNNING sibling leaves abort mid-scan.
-                            cancel.set()
-
-                def cancellation_requested(self):
-                    return found[0] or (
-                        cancel is not None and cancel.is_set()
-                    )
-
-            run_pipeline(spliterator, ops, _MatchSink(), force_short_circuit=True)
-            return found[0]
-        if kind == "find":
-            first = terminal[1] if len(terminal) > 1 else True
-            result: list = []
-
-            class _FindSink(Sink):
-                def accept(self, item):
-                    if not result:
-                        result.append(item)
-                        if not first and cancel is not None:
-                            # find_any: any hit is the answer — broadcast.
-                            # find_first must NOT: every leaf reports its
-                            # own first so the ordered merge keeps the
-                            # leftmost.
-                            cancel.set()
-
-                def cancellation_requested(self):
-                    return bool(result) or (
-                        cancel is not None and cancel.is_set()
-                    )
-
-            run_pipeline(spliterator, ops, _FindSink(), force_short_circuit=True)
-            return (True, result[0]) if result else (False, None)
-        raise IllegalArgumentError(f"unknown process terminal {kind!r}")
+        return spec.leaf(
+            _rebuild_source(source_spec), ops, current_leaf_cancel(), chunk_size
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -375,7 +251,7 @@ def _run_leaf(payload: tuple) -> Any:
 def _build_payloads(
     spliterator: Spliterator,
     ops: list[Op],
-    terminal: tuple,
+    spec: TerminalSpec,
     executor: ProcessExecutor,
     target_size: int | None,
     observe: bool = True,
@@ -417,242 +293,67 @@ def _build_payloads(
         )
     flags = (_ops.bulk_execution_enabled(), _fusion_enabled())
     payloads = [
-        (_leaf_source_spec(leaf), ops, terminal) + flags + (chunk,)
+        (_leaf_source_spec(leaf), ops, spec) + flags + (chunk,)
         for leaf in leaves
     ]
     return payloads, observer
 
 
-def _budget_stop(budget: int):
-    """Contiguous-prefix early stop for a counted-``limit`` budget.
-
-    Returns an ``early_stop_slots(lo, hi, batch_results)`` closure that
-    fires once the leaves in slots ``0..k`` (no gaps) have together
-    produced at least ``budget`` elements.  Contiguity matters: a
-    satisfied budget cancels the remaining slots, and the merge below
-    treats their ``None`` results as empty — sound only because every
-    discarded slot lies strictly *right* of the prefix that already
-    holds the global first ``budget`` elements.
-    """
-    produced: dict[int, int] = {}
-
-    def early_stop_slots(lo, hi, batch_results):
-        for i, r in enumerate(batch_results):
-            try:
-                produced[lo + i] = len(r)
-            except TypeError:
-                produced[lo + i] = 0
-        total, slot = 0, 0
-        while slot in produced:
-            total += produced[slot]
-            if total >= budget:
-                return True
-            slot += 1
-        return False
-
-    return early_stop_slots
-
-
-def process_collect(
+def run_process(
     spliterator: Spliterator,
     ops: list[Op],
-    collector: Collector,
+    spec: TerminalSpec,
     target_size: int | None = None,
     deadline=None,
     executor: ProcessExecutor | None = None,
     budget: int | None = None,
 ) -> Any:
-    """Mutable reduction across worker processes.
+    """Evaluate ``spec`` across worker processes.
 
-    With a picklable collector each leaf builds its own container in the
-    child and the parent folds containers with the combiner, exactly like
-    the thread path.  Collectors built from lambdas (the stock library)
-    fall back to leaves returning element lists, folded through the
-    accumulator in the parent — same result, elements cross the boundary
-    instead of containers.
+    Leaves run the spec in the children; their partials come back in
+    encounter order and fold in the parent.  A spec whose functions do not
+    pickle is refused up front, except collectors built from lambdas (the
+    stock library) and three-argument reduces: those fall back to leaves
+    returning their element lists, folded through the accumulator in the
+    parent — same result, elements cross the boundary instead of
+    containers.  Broadcasting specs (match, ``find_any``) stop the scatter
+    at the first hit, and the run's
+    :class:`~repro.powerlist.shm.SharedFlag` aborts RUNNING sibling leaves
+    at their next poll point.
 
     ``budget`` is the counted short-circuit hook: when the caller's
     pipeline ends in ``limit(n)``, each leaf gets its own ``LimitOp(n)``
     (the global first ``n`` never needs more than the first ``n`` of any
-    leaf) and a contiguous-prefix element count stops the scatter — and
-    sets the run's :class:`~repro.powerlist.shm.SharedFlag` so RUNNING
-    sibling leaves abort at their next chunk boundary — as soon as the
-    answer is complete.  Cancelled slots come back ``None`` and merge as
-    empty; the caller re-applies ``limit`` over the concatenation.
+    leaf) and a :class:`~repro.streams.terminal.PrefixBudget` over leaf
+    slots stops the scatter as soon as a contiguous prefix of leaves holds
+    the answer.  Cancelled slots come back ``None`` and merge as empty;
+    the caller re-applies ``limit`` over the concatenation.
     """
     executor = executor if executor is not None else shared_executor()
     early_stop_slots = None
     if budget is not None:
         ops = list(ops) + [LimitOp(budget)]
-        early_stop_slots = _budget_stop(budget)
-    _require_picklable("pipeline stage functions", ops)
-    combine = collector.combiner()
-    finish = collector.finisher()
-    if _check_picklable("collector", collector, combine):
-        payloads, observer = _build_payloads(
-            spliterator, ops, ("collect", collector), executor, target_size
-        )
-        partials = executor.run_leaves(
-            _run_leaf, payloads, deadline=deadline, label="process collect",
-            observer=observer, early_stop_slots=early_stop_slots,
-        )
-        if observer is not None:
-            observer.complete()
-        container = None
-        seen = False
-        for partial in partials:
-            if partial is None:
-                continue  # slot cancelled by a satisfied budget
-            container = combine(container, partial) if seen else partial
-            seen = True
-        if not seen:
-            container = collector.supplier()()
-        return finish(container)
+        prefix = PrefixBudget(budget)
+
+        def early_stop_slots(lo, hi, batch_results):
+            return any(
+                prefix.note(slot, slot + 1, len(result))
+                for slot, result in enumerate(batch_results, lo)
+                if isinstance(result, list)
+            )
+
+    shipped, fold = spec.for_workers()
+    _require_picklable(spec.what, ops, shipped)
     payloads, observer = _build_payloads(
-        spliterator, ops, ("elements",), executor, target_size
+        spliterator, ops, shipped, executor, target_size, observe=spec.observes
     )
     partials = executor.run_leaves(
-        _run_leaf, payloads, deadline=deadline, label="process collect",
-        observer=observer, early_stop_slots=early_stop_slots,
-    )
-    if observer is not None:
-        observer.complete()
-    container = collector.supplier()()
-    accumulate = collector.accumulator()
-    accumulate_chunk = collector.chunk_accumulator()
-    for elements in partials:
-        if elements is None:
-            continue  # slot cancelled by a satisfied budget
-        if accumulate_chunk is not None:
-            accumulate_chunk(container, elements)
-        else:
-            for item in elements:
-                accumulate(container, item)
-    return finish(container)
-
-
-def process_reduce(
-    spliterator: Spliterator,
-    ops: list[Op],
-    op: Callable,
-    identity=None,
-    has_identity: bool = False,
-    target_size: int | None = None,
-    deadline=None,
-    executor: ProcessExecutor | None = None,
-):
-    """Immutable reduction across worker processes (``Stream.reduce``)."""
-    executor = executor if executor is not None else shared_executor()
-    _require_picklable("pipeline stage functions and reduce operator", ops, op)
-    payloads, observer = _build_payloads(
-        spliterator, ops, ("reduce", op, identity, has_identity),
-        executor, target_size,
-    )
-    partials = executor.run_leaves(
-        _run_leaf, payloads, deadline=deadline, label="process reduce",
+        _run_leaf, payloads, deadline=deadline, label=f"process {spec.name}",
         observer=observer,
+        early_stop=shipped.hit if shipped.broadcasts else None,
+        early_stop_slots=early_stop_slots,
     )
-    if observer is not None:
+    merged = fold(partials)
+    if observer is not None and spec.feeds_memo(merged):
         observer.complete()
-    value, seen = None, False
-    for leaf_value, leaf_seen in partials:
-        if not leaf_seen:
-            continue
-        value = op(value, leaf_value) if seen else leaf_value
-        seen = True
-    if has_identity:
-        return value if seen else identity
-    return Optional.of(value) if seen else Optional.empty()
-
-
-def process_for_each(
-    spliterator: Spliterator,
-    ops: list[Op],
-    action: Callable,
-    target_size: int | None = None,
-    deadline=None,
-    executor: ProcessExecutor | None = None,
-) -> None:
-    """``for_each`` with the action running *in the worker process*.
-
-    Side effects land in the child: mutating parent-process state from the
-    action will silently do nothing here — use ``backend='threads'`` when
-    the action closes over shared state.
-    """
-    executor = executor if executor is not None else shared_executor()
-    _require_picklable("pipeline stage functions and action", ops, action)
-    payloads, observer = _build_payloads(
-        spliterator, ops, ("for_each", action), executor, target_size
-    )
-    executor.run_leaves(
-        _run_leaf, payloads, deadline=deadline, label="process for_each",
-        observer=observer,
-    )
-    if observer is not None:
-        observer.complete()
-
-
-def process_match(
-    spliterator: Spliterator,
-    ops: list[Op],
-    predicate: Callable,
-    kind: str,
-    target_size: int | None = None,
-    deadline=None,
-    executor: ProcessExecutor | None = None,
-) -> bool:
-    """Short-circuiting match: each leaf stops at its own witness, and the
-    first triggered batch cancels the still-pending ones."""
-    if kind not in ("any", "all", "none"):
-        raise ValueError(f"unknown match kind: {kind}")
-    executor = executor if executor is not None else shared_executor()
-    _require_picklable("pipeline stage functions and predicate", ops, predicate)
-    payloads, observer = _build_payloads(
-        spliterator, ops, ("match", predicate, kind), executor, target_size
-    )
-    results = executor.run_leaves(
-        _run_leaf, payloads, deadline=deadline,
-        early_stop=lambda triggered: triggered is True,
-        label="process match",
-        observer=observer,
-    )
-    triggered = any(result is True for result in results)
-    # A triggered run aborted leaves mid-scan — those timings would teach
-    # the memo that elements are cheaper than they are.  Only full
-    # traversals feed the cost model (same rule as the thread path).
-    if observer is not None and not triggered:
-        observer.complete()
-    return triggered if kind == "any" else not triggered
-
-
-def process_find(
-    spliterator: Spliterator,
-    ops: list[Op],
-    first: bool,
-    target_size: int | None = None,
-    deadline=None,
-    executor: ProcessExecutor | None = None,
-) -> Optional:
-    """``find_first`` / ``find_any`` across worker processes.
-
-    ``find_any`` cancels pending batches on the first hit anywhere;
-    ``find_first`` must honor encounter order, so every leaf reports its
-    own first element (each stops after one) and the ordered merge keeps
-    the leftmost.
-    """
-    executor = executor if executor is not None else shared_executor()
-    _require_picklable("pipeline stage functions", ops)
-    # find leaves stop at their own first element by design — their spans
-    # measure almost nothing, so find never feeds the adaptive memo.
-    payloads, _ = _build_payloads(
-        spliterator, ops, ("find", first), executor, target_size, observe=False
-    )
-    early_stop = None if first else (lambda result: bool(result) and result[0])
-    results = executor.run_leaves(
-        _run_leaf, payloads, deadline=deadline, early_stop=early_stop,
-        label="process find",
-    )
-    for result in results:
-        if result is not None and result[0]:
-            return Optional.of(result[1])
-    return Optional.empty()
+    return spec.finish(merged)

@@ -32,7 +32,6 @@ from repro.forkjoin.pool import ForkJoinPool, common_pool
 from repro.streams import parallel as _parallel
 from repro.streams.collector import Collector, CollectorCharacteristics
 from repro.streams.ops import (
-    AccumulatorSink,
     DistinctOp,
     DropWhileOp,
     FilterOp,
@@ -41,13 +40,10 @@ from repro.streams.ops import (
     MapOp,
     Op,
     PeekOp,
-    ReducingSink,
     SkipOp,
     SortedOp,
     TakeWhileOp,
-    TerminalSink,
     pull_iterator,
-    run_pipeline,
     wrap_ops,
 )
 from repro.streams.optional import Optional
@@ -58,6 +54,16 @@ from repro.streams.spliterators import (
     ListSpliterator,
     RangeSpliterator,
     spliterator_of,
+)
+from repro.streams.terminal import (
+    AccumulatorSink,
+    CollectSpec,
+    FindSpec,
+    ForEachSpec,
+    MatchSpec,
+    ReduceSpec,
+    TerminalSpec,
+    run_sequential,
 )
 
 T = TypeVar("T")
@@ -169,12 +175,20 @@ class Stream:
 
     @staticmethod
     def concat(first: "Stream", second: "Stream") -> "Stream":
-        """Concatenate two streams (both are consumed)."""
-        a = first._materialize()
-        b = second._materialize()
-        out = Stream.of_iterable(a + b)
+        """Concatenate two streams (both are consumed).
+
+        Like Java's ``Stream.concat``, the result is parallel if either
+        input is, and closing it runs both inputs' close handlers (first's,
+        then second's).  Pool, target size, deadline and backend come from
+        ``first`` where it set them, else from ``second``.
+        """
+        handlers = first._close_handlers + second._close_handlers
+        out = Stream.of_iterable(first.to_list() + second.to_list())
         out._parallel = first._parallel or second._parallel
-        out._pool = first._pool or second._pool
+        out._close_handlers = handlers
+        for name in ("_pool", "_target_size", "_deadline", "_backend"):
+            value = getattr(first, name)
+            setattr(out, name, value if value is not None else getattr(second, name))
         return out
 
     # ------------------------------------------------------------------ #
@@ -269,8 +283,9 @@ class Stream:
         A parallel terminal that overruns raises
         :class:`~repro.common.TaskTimeoutError` (the root task is
         cancelled if no worker claimed it yet; running leaves are never
-        interrupted — see ``docs/robustness.md``).  Sequential terminals
-        ignore the deadline.
+        interrupted — see ``docs/robustness.md``).  Sequential streams
+        ignore the deadline; the ``'sequential'`` backend checks it once,
+        at entry.
         """
         from repro.faults.policy import Deadline
 
@@ -427,20 +442,7 @@ class Stream:
                 None,
                 CollectorCharacteristics.IDENTITY_FINISH,
             )
-        spliterator, ops = self._terminal()
-        if self._parallel:
-            spliterator, ops = self._barrier_stateful(spliterator, ops)
-            return _parallel.parallel_collect(
-                spliterator, ops, collector, self._effective_pool(),
-                self._target_size, self._deadline, self._backend,
-            )
-        sink = AccumulatorSink(
-            collector.supplier()(),
-            collector.accumulator(),
-            collector.chunk_accumulator(),
-        )
-        run_pipeline(spliterator, ops, sink)
-        return collector.finisher()(sink.container)
+        return self._evaluate(CollectSpec(collector))
 
     def reduce(self, *args):
         """Immutable reduction.
@@ -452,73 +454,28 @@ class Stream:
           parallel runs).
         """
         if len(args) == 1:
-            (op,) = args
-            identity, has_identity, combiner = None, False, op
-            accumulator = op
+            (accumulator,) = args
+            identity, has_identity, combiner = None, False, None
         elif len(args) == 2:
             identity, accumulator = args
-            has_identity, combiner = True, accumulator
+            has_identity, combiner = True, None
         elif len(args) == 3:
             identity, accumulator, combiner = args
             has_identity = True
         else:
             raise IllegalArgumentError("reduce takes 1, 2 or 3 arguments")
 
-        spliterator, ops = self._terminal()
-        if self._parallel:
-            spliterator, ops = self._barrier_stateful(spliterator, ops)
-            if len(args) == 3:
-                # Distinct accumulator/combiner: leaf-fold with accumulator,
-                # merge partials with combiner via a collector.
-                collector = Collector.of(
-                    lambda: [identity],
-                    lambda acc, t: acc.__setitem__(0, accumulator(acc[0], t)),
-                    lambda a, b: ([a.__setitem__(0, combiner(a[0], b[0]))], a)[1],
-                    lambda acc: acc[0],
-                    CollectorCharacteristics.NONE,
-                )
-                return _parallel.parallel_collect(
-                    spliterator, ops, collector, self._effective_pool(),
-                    self._target_size, self._deadline, self._backend,
-                )
-            return _parallel.parallel_reduce(
-                spliterator,
-                ops,
-                combiner,
-                self._effective_pool(),
-                identity,
-                has_identity,
-                self._target_size,
-                self._deadline,
-                self._backend,
-            )
-        # Sequential fold.
-        sink = ReducingSink(accumulator, identity, has_identity)
-        run_pipeline(spliterator, ops, sink)
-        if has_identity:
-            return sink.value
-        return Optional.of(sink.value) if sink.seen else Optional.empty()
+        return self._evaluate(
+            ReduceSpec(accumulator, combiner, identity, has_identity)
+        )
 
     def for_each(self, action: Callable[[T], None]) -> None:
         """Apply ``action`` to each element (unordered when parallel)."""
-        spliterator, ops = self._terminal()
-        if self._parallel:
-            spliterator, ops = self._barrier_stateful(spliterator, ops)
-            _parallel.parallel_for_each(
-                spliterator, ops, action, self._effective_pool(),
-                self._target_size, self._deadline, self._backend,
-            )
-            return
-
-        class _ForEach(TerminalSink):
-            def accept(self, item):
-                action(item)
-
-        run_pipeline(spliterator, ops, _ForEach())
+        self._evaluate(ForEachSpec(action))
 
     def for_each_ordered(self, action: Callable[[T], None]) -> None:
         """Apply ``action`` in encounter order even on parallel streams."""
-        for item in self._materialize_terminal():
+        for item in self.to_list():
             action(item)
 
     def to_list(self) -> list:
@@ -561,23 +518,23 @@ class Stream:
 
     def any_match(self, predicate: Callable[[T], bool]) -> bool:
         """True if any element satisfies ``predicate`` (short-circuits)."""
-        return self._match(predicate, "any")
+        return self._evaluate(MatchSpec(predicate, "any"))
 
     def all_match(self, predicate: Callable[[T], bool]) -> bool:
         """True if every element satisfies ``predicate`` (short-circuits)."""
-        return self._match(predicate, "all")
+        return self._evaluate(MatchSpec(predicate, "all"))
 
     def none_match(self, predicate: Callable[[T], bool]) -> bool:
         """True if no element satisfies ``predicate`` (short-circuits)."""
-        return self._match(predicate, "none")
+        return self._evaluate(MatchSpec(predicate, "none"))
 
     def find_first(self) -> Optional:
         """The first element, honoring encounter order."""
-        return self._find(first=True)
+        return self._evaluate(FindSpec(first=True))
 
     def find_any(self) -> Optional:
         """Any element (parallel-friendly)."""
-        return self._find(first=False)
+        return self._evaluate(FindSpec(first=False))
 
     def explain(self) -> "Any":
         """The execution plan, predicted without executing (non-terminal).
@@ -637,12 +594,7 @@ class Stream:
         ops = maybe_fuse(ops)
 
         buffer: deque = deque()
-
-        class _Buffer(TerminalSink):
-            def accept(self, item):
-                buffer.append(item)
-
-        sink = wrap_ops(ops, _Buffer())
+        sink = wrap_ops(ops, AccumulatorSink(buffer, deque.append))
         sink.begin(spliterator.get_exact_size_if_known())
         return pull_iterator(spliterator, sink, buffer)
 
@@ -680,8 +632,50 @@ class Stream:
     def _effective_pool(self) -> ForkJoinPool:
         return self._pool if self._pool is not None else common_pool()
 
+    def _evaluate(self, spec: TerminalSpec) -> Any:
+        """Run a terminal: route ``spec`` to its backend's driver.
+
+        Sequential streams and the ``'sequential'`` backend run the whole
+        chain in one traversal (:func:`run_sequential`).  Parallel
+        backends first evaluate stateful ops as barriers
+        (:meth:`_barrier_stateful`), then hand the stateless residue to
+        the thread or process driver.
+        """
+        spliterator, ops = self._terminal()
+        if not self._parallel:
+            return run_sequential(spliterator, ops, spec)
+        backend = _parallel.resolve_backend(self._backend)
+        if backend == "sequential":
+            if self._deadline is not None:
+                self._deadline.check(f"sequential {spec.name}")
+            return run_sequential(spliterator, ops, spec)
+        spliterator, ops = self._barrier_stateful(spliterator, ops, backend)
+        return self._run_parallel(spliterator, ops, spec, backend)
+
+    def _run_parallel(
+        self,
+        spliterator: Spliterator,
+        ops: list[Op],
+        spec: TerminalSpec,
+        backend: str,
+        budget: int | None = None,
+    ) -> Any:
+        # The process driver gets the *raw* op chain: fused kernels are
+        # exec-compiled and unpicklable, so each worker re-fuses locally.
+        if backend == "process":
+            from repro.streams.process_backend import run_process
+
+            return run_process(
+                spliterator, ops, spec, self._target_size, self._deadline,
+                budget=budget,
+            )
+        return _parallel.run_threads(
+            spliterator, ops, spec, self._effective_pool(),
+            self._target_size, self._deadline, budget,
+        )
+
     def _barrier_stateful(
-        self, spliterator: Spliterator, ops: list[Op]
+        self, spliterator: Spliterator, ops: list[Op], backend: str
     ) -> tuple[Spliterator, list[Op]]:
         """Evaluate stateful ops as barriers, returning the residual tail.
 
@@ -693,7 +687,7 @@ class Stream:
         A ``limit(n)`` cut additionally passes its count as the collect's
         *budget*: leaves truncate locally through counted fused kernels
         and a satisfied contiguous prefix of leaves cancels still-running
-        siblings (threads: ``_TerminalContext.cancel``; process:
+        siblings (threads: the terminal context's cancel event; process:
         ``SharedFlag``), so the barrier scan stops near the cut instead of
         draining the whole source.  ``apply_to_buffer`` below still
         truncates the merged buffer, keeping semantics exact.
@@ -704,69 +698,10 @@ class Stream:
             cut = next(i for i, op in enumerate(ops) if op.stateful)
             prefix, stateful, ops = ops[:cut], ops[cut], ops[cut + 1 :]
             budget = stateful.n if isinstance(stateful, LimitOp) else None
-            buffer = _parallel.parallel_collect(
-                spliterator,
-                prefix,
-                collectors.to_list(),
-                self._effective_pool(),
-                self._target_size,
-                self._deadline,
-                self._backend,
-                budget=budget,
+            buffer = self._run_parallel(
+                spliterator, prefix, CollectSpec(collectors.to_list()),
+                backend, budget,
             )
             buffer = stateful.apply_to_buffer(buffer)
             spliterator = ListSpliterator(buffer)
         return spliterator, ops
-
-    def _match(self, predicate: Callable[[T], bool], kind: str) -> bool:
-        spliterator, ops = self._terminal()
-        if self._parallel:
-            spliterator, ops = self._barrier_stateful(spliterator, ops)
-            return _parallel.parallel_match(
-                spliterator, ops, predicate, self._effective_pool(), kind,
-                self._target_size, self._deadline, self._backend,
-            )
-        found = [False]
-        trigger = predicate if kind in ("any", "none") else (lambda t: not predicate(t))
-
-        class _Match(TerminalSink):
-            def accept(self, item):
-                if not found[0] and trigger(item):
-                    found[0] = True
-
-            def cancellation_requested(self):
-                return found[0]
-
-        run_pipeline(spliterator, ops, _Match(), force_short_circuit=True)
-        return found[0] if kind == "any" else not found[0]
-
-    def _find(self, first: bool) -> Optional:
-        spliterator, ops = self._terminal()
-        if self._parallel:
-            spliterator, ops = self._barrier_stateful(spliterator, ops)
-            return _parallel.parallel_find(
-                spliterator, ops, self._effective_pool(), first,
-                self._target_size, self._deadline, self._backend,
-            )
-        result: list = []
-
-        class _Find(TerminalSink):
-            def accept(self, item):
-                if not result:
-                    result.append(item)
-
-            def cancellation_requested(self):
-                return bool(result)
-
-        run_pipeline(spliterator, ops, _Find(), force_short_circuit=True)
-        return Optional.of(result[0]) if result else Optional.empty()
-
-    def _materialize(self) -> list:
-        """Consume into a list, preserving mode flags for ``concat``."""
-        parallel = self._parallel
-        out = self.to_list()
-        self._parallel = parallel
-        return out
-
-    def _materialize_terminal(self) -> list:
-        return self.to_list()

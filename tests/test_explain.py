@@ -166,6 +166,54 @@ class TestStatefulBarrierChain:
         assert result == [x * 9 for x in range(4096)]
 
 
+def _mod37(x):
+    return x % 37
+
+
+def _inc(x):
+    return x + 1
+
+
+class TestSequentialBackendChain:
+    """map → distinct → sorted → map on a parallel stream with
+    ``backend='sequential'``: the plan's single fused traversal is what
+    runs, exactly as on a plain sequential stream (no barrier segments)."""
+
+    def _stream(self, parallel):
+        stream = Stream.range(0, 1024)
+        if parallel:
+            stream = stream.parallel().with_backend("sequential")
+        return stream.map(_mod37).distinct().sorted().map(_inc)
+
+    def _profile(self, parallel):
+        from repro.obs import profiled
+
+        with profiled(sample=1) as prof:
+            result = self._stream(parallel).to_list()
+        assert result == [x + 1 for x in range(37)]
+        d = prof.to_dict()
+        modes = {mode: n for mode, n in d["modes"].items() if n}
+        return d["traversals"], modes, sorted(d["stages"])
+
+    def test_profiled_run_equals_sequential_and_plan(self):
+        plan = self._stream(parallel=True).explain().to_dict()
+        assert plan["execution"] == {
+            "parallel": False, "mode": "chunked", "backend": "sequential",
+        }
+        assert plan["fusion"]["chain"] == ["fused(map|distinct)", "sorted", "map"]
+        backend_run = self._profile(parallel=True)
+        assert backend_run == self._profile(parallel=False)
+        traversals, modes, stages = backend_run
+        assert traversals == 1
+        assert modes == {plan["execution"]["mode"]: 1}
+        assert stages == [
+            f"{i}:{label}"
+            for i, label in enumerate(
+                plan["fusion"]["chain"] + ["terminal:AccumulatorSink"]
+            )
+        ]
+
+
 class TestShortCircuitChain:
     """map → limit: compiled into a counted kernel riding the bulk path."""
 
@@ -262,7 +310,7 @@ class TestExplainPlanObject:
             "unknown size → default // parallelism"
         )
         # The reported target is what execution actually uses.
-        from repro.streams.parallel import compute_target_size
+        from repro.streams.adaptive import compute_target_size
         from repro.streams.spliterator import UNKNOWN_SIZE
 
         assert plan["execution"]["target_size"] == compute_target_size(

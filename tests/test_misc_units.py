@@ -11,7 +11,7 @@ from repro.powerlist import PowerList
 from repro.powerlist.operators import elementwise
 from repro.simcore import CostModel, SimMachine
 from repro.simcore.dag import build_nway_dag
-from repro.streams.parallel import compute_target_size
+from repro.streams.adaptive import compute_target_size
 from repro.streams.spliterator import UNKNOWN_SIZE
 
 

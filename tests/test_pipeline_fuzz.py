@@ -16,6 +16,7 @@ so a sweep failure replays locally with the same generated pipelines.
 """
 
 import functools
+import operator
 import os
 
 import pytest
@@ -25,7 +26,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.forkjoin import ForkJoinPool
-from repro.streams import bulk_execution, bulk_stats, fusion, stream_of
+from repro.streams import Optional, bulk_execution, bulk_stats, fusion, stream_of
 from repro.streams.fusion import _FUSIBLE_TYPES, FusedOp, fuse_ops, maybe_fuse
 from repro.streams.ops import LimitOp, SkipOp, select_mode
 
@@ -150,6 +151,14 @@ def _pk_take_while(x, a):
 
 def _pk_drop_while(x, a):
     return abs(x) < a * 3 + 2
+
+
+def _pk_above(x, t):
+    return x > t
+
+
+def _pk_add_square(total, x):
+    return total + x * x
 
 
 def _apply_stream_picklable(stream, op):
@@ -301,23 +310,61 @@ class TestPipelineFuzz:
     @given(inputs, pipelines)
     def test_backend_sweep_matches_reference(self, xs, ops):
         """Six-way parity: {sequential, threads, process} backends ×
-        {chunked, per-element} traversal, exact results against the
-        reference interpreter.  Process-backend runs ship their op chains
-        to worker children, so this leg uses the picklable op appliers."""
+        {chunked, per-element} traversal, every terminal family against
+        the reference interpreter — ``to_list``, ``reduce`` with 1, 2 and
+        3 arguments, ``count``, the match family, ``find_first``, and
+        ``find_any`` (checked by membership).  Process-backend runs ship
+        their op chains and terminal functions to worker children, so
+        this leg uses the picklable appliers and module-level terminal
+        functions."""
         expected = list(xs)
         for op in ops:
             expected = _apply_reference(expected, op)
+        above = functools.partial(_pk_above, t=5)
+        terminals = {
+            "to_list": (lambda s: s.to_list(), expected),
+            "reduce/1": (
+                lambda s: s.reduce(operator.add),
+                Optional.of(sum(expected)) if expected else Optional.empty(),
+            ),
+            "reduce/2": (lambda s: s.reduce(0, operator.add), sum(expected)),
+            "reduce/3": (
+                lambda s: s.reduce(0, _pk_add_square, operator.add),
+                sum(x * x for x in expected),
+            ),
+            "count": (lambda s: s.count(), len(expected)),
+            "any_match": (
+                lambda s: s.any_match(above), any(above(x) for x in expected)
+            ),
+            "all_match": (
+                lambda s: s.all_match(above), all(above(x) for x in expected)
+            ),
+            "none_match": (
+                lambda s: s.none_match(above),
+                not any(above(x) for x in expected),
+            ),
+            "find_first": (
+                lambda s: s.find_first(),
+                Optional.of(expected[0]) if expected else Optional.empty(),
+            ),
+        }
 
-        def run(backend, chunked):
+        def run(backend, chunked, terminal):
             with bulk_execution(chunked):
                 s = stream_of(xs, parallel=True, backend=backend)
                 for op in ops:
                     s = _apply_stream_picklable(s, op)
-                return s.to_list()
+                return terminal(s)
 
         for backend in ("sequential", "threads", "process"):
             for chunked in (True, False):
-                assert run(backend, chunked) == expected, (backend, chunked)
+                leg = (backend, chunked)
+                for name, (terminal, want) in terminals.items():
+                    assert run(backend, chunked, terminal) == want, (name, leg)
+                found = run(backend, chunked, lambda s: s.find_any())
+                assert found.is_present() == bool(expected), leg
+                if expected:
+                    assert found.get() in expected, leg
 
     @_seeded
     @settings(deadline=None, max_examples=12,

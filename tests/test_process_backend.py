@@ -33,6 +33,7 @@ from repro.streams import process_backend as pb
 from repro.streams.ops import FilterOp, MapOp
 from repro.streams.parallel import _backend_from_env
 from repro.streams.spliterators import ListSpliterator, RangeSpliterator
+from repro.streams.terminal import CollectSpec, ForEachSpec, MatchSpec, ReduceSpec
 
 
 # --------------------------------------------------------------------------- #
@@ -62,6 +63,16 @@ def _new_list():
 
 def _acc_append(container, item):
     container.append(item)
+
+
+#: Accumulator calls made in *this* process; worker processes count in
+#: their own copy, so the parent's tally shows where leaves folded.
+_SQUARE_CALLS = [0]
+
+
+def _add_square(total, x):
+    _SQUARE_CALLS[0] += 1
+    return total + x * x
 
 
 def _combine_extend(a, b):
@@ -229,8 +240,8 @@ class TestTerminalParity:
             _new_list, _acc_append, _combine_extend, None,
             CollectorCharacteristics.IDENTITY_FINISH,
         )
-        got = pb.process_collect(
-            RangeSpliterator(0, 256), [], collector,
+        got = pb.run_process(
+            RangeSpliterator(0, 256), [], CollectSpec(collector),
             target_size=32, executor=executor,
         )
         assert got == list(range(256))
@@ -248,6 +259,57 @@ class TestTerminalParity:
         assert opt.get() == expected
         empty = Stream.empty().parallel().with_backend("process").reduce(operator.add)
         assert not empty.is_present()
+
+    def test_three_arg_reduce_folds_in_workers(self):
+        # reduce(identity, accumulator, combiner) ships a picklable spec:
+        # leaves fold in the workers, the parent only combines partials.
+        _SQUARE_CALLS[0] = 0
+        expected = Stream.range(0, 1 << 10).reduce(0, _add_square, operator.add)
+        assert _SQUARE_CALLS[0] == 1 << 10
+        _SQUARE_CALLS[0] = 0
+        got = (
+            Stream.range(0, 1 << 10)
+            .parallel()
+            .with_backend("process")
+            .with_target_size(64)
+            .reduce(0, _add_square, operator.add)
+        )
+        assert got == expected
+        assert _SQUARE_CALLS[0] == 0
+
+    def test_three_arg_reduce_with_lambdas_folds_in_parent(self):
+        # An unpicklable 3-arg reduce falls back like a stock collector:
+        # leaves return their elements and the parent folds them in order.
+        got = (
+            Stream.range(0, 100)
+            .parallel()
+            .with_backend("process")
+            .with_target_size(16)
+            .reduce(0, lambda a, x: a + x, lambda a, b: a + b)
+        )
+        assert got == 4950
+        words = Stream.of_iterable(["ab", "c", "", "def"] * 8)
+        got = (
+            words.parallel()
+            .with_backend("process")
+            .with_target_size(4)
+            .reduce("", lambda acc, w: acc + w.upper(), lambda a, b: a + b)
+        )
+        assert got == "ABCDEF" * 8
+        empty = (
+            Stream.empty().parallel().with_backend("process")
+            .reduce(7, lambda a, x: a + x, lambda a, b: a + b)
+        )
+        assert empty == 7
+
+    def test_one_and_two_arg_reduce_require_picklable_operator(self):
+        def make():
+            return Stream.range(0, 64).parallel().with_backend("process")
+
+        with pytest.raises(IllegalArgumentError, match="reduce operator"):
+            make().reduce(lambda a, b: a + b)
+        with pytest.raises(IllegalArgumentError, match="reduce operator"):
+            make().reduce(0, lambda a, b: a + b)
 
     def test_match_family(self):
         def make():
@@ -281,8 +343,8 @@ class TestTerminalParity:
     def test_for_each_runs_in_workers(self, executor):
         # Side effects land in the child; the parent only observes
         # completion without error.
-        pb.process_for_each(
-            RangeSpliterator(0, 128), [], _double,
+        pb.run_process(
+            RangeSpliterator(0, 128), [], ForEachSpec(_double),
             target_size=16, executor=executor,
         )
 
@@ -320,10 +382,10 @@ class TestDeadlinePropagation:
         with ProcessExecutor(processes=1) as ex:
             started = time.perf_counter()
             with pytest.raises(TaskTimeoutError):
-                pb.process_collect(
+                pb.run_process(
                     RangeSpliterator(0, 4),
                     [MapOp(_slow_identity)],
-                    _list_collector(),
+                    CollectSpec(_list_collector()),
                     target_size=1,
                     deadline=_deadline_after(0.25),
                     executor=ex,
@@ -376,8 +438,8 @@ class TestWorkerChaos:
         plan = FaultPlan(seed=11).inject("proc:worker-0", "kill", times=1)
         with ProcessExecutor(processes=2, retry=RetryPolicy(max_attempts=3)) as ex:
             with fault_injection(plan):
-                got = pb.process_collect(
-                    RangeSpliterator(0, 512), [], _list_collector(),
+                got = pb.run_process(
+                    RangeSpliterator(0, 512), [], CollectSpec(_list_collector()),
                     target_size=64, executor=ex,
                 )
             assert got == list(range(512))
@@ -393,8 +455,8 @@ class TestWorkerChaos:
             processes=2, retry=RetryPolicy(max_attempts=2), fallback=True
         ) as ex:
             with fault_injection(plan):
-                got = pb.process_collect(
-                    RangeSpliterator(0, 256), [], _list_collector(),
+                got = pb.run_process(
+                    RangeSpliterator(0, 256), [], CollectSpec(_list_collector()),
                     target_size=64, executor=ex,
                 )
             assert got == list(range(256))
@@ -407,14 +469,14 @@ class TestWorkerChaos:
         with ProcessExecutor(processes=2) as ex:
             with fault_injection(plan):
                 with pytest.raises(BrokenProcessPool):
-                    pb.process_collect(
-                        RangeSpliterator(0, 256), [], _list_collector(),
+                    pb.run_process(
+                        RangeSpliterator(0, 256), [], CollectSpec(_list_collector()),
                         target_size=64, executor=ex,
                     )
             # The broken pool was discarded; the next run forks a fresh
             # one and succeeds.
-            got = pb.process_collect(
-                RangeSpliterator(0, 256), [], _list_collector(),
+            got = pb.run_process(
+                RangeSpliterator(0, 256), [], CollectSpec(_list_collector()),
                 target_size=64, executor=ex,
             )
             assert got == list(range(256))
@@ -435,15 +497,16 @@ class TestWorkerChaos:
                 )
                 with fault_injection(plan):
                     with pytest.raises(BrokenProcessPool):
-                        pb.process_collect(
-                            RangeSpliterator(0, 256), [], _list_collector(),
+                        pb.run_process(
+                            RangeSpliterator(0, 256), [],
+                            CollectSpec(_list_collector()),
                             target_size=64, executor=ex,
                         )
                 # Exactly one containment per trial, and the next run
                 # always gets a fresh pool.
                 assert ex.stats()["broken_pools"] == trial + 1
-                got = pb.process_collect(
-                    RangeSpliterator(0, 256), [], _list_collector(),
+                got = pb.run_process(
+                    RangeSpliterator(0, 256), [], CollectSpec(_list_collector()),
                     target_size=64, executor=ex,
                 )
                 assert got == list(range(256))
@@ -513,8 +576,8 @@ class TestExplainAndMetrics:
     def test_prom_metrics_cover_process_runs(self, executor):
         from repro.obs.prom import render
 
-        pb.process_collect(
-            RangeSpliterator(0, 256), [], _list_collector(),
+        pb.run_process(
+            RangeSpliterator(0, 256), [], CollectSpec(_list_collector()),
             target_size=64, executor=executor,
         )
         text = render(executor.metrics)
@@ -658,8 +721,8 @@ class TestRunningLeafAbort:
             predicate = functools.partial(
                 _coordinated_probe, shm.describe(counters), boundary
             )
-            result = pb.process_match(
-                RangeSpliterator(0, n), [], predicate, "any",
+            result = pb.run_process(
+                RangeSpliterator(0, n), [], MatchSpec(predicate, "any"),
                 target_size=boundary, executor=executor,
             )
             assert result is True
@@ -677,8 +740,8 @@ class TestRunningLeafAbort:
 
     def test_no_segments_leak_after_match(self, executor):
         before = shm.active_segments()
-        assert pb.process_match(
-            RangeSpliterator(0, 1 << 12), [], _is_even, "any",
+        assert pb.run_process(
+            RangeSpliterator(0, 1 << 12), [], MatchSpec(_is_even, "any"),
             executor=executor,
         )
         assert shm.active_segments() == before
@@ -692,9 +755,9 @@ class TestAdaptiveProcessBackend:
         try:
             expected = sum(range(1 << 12))
             for _ in range(2):
-                total = pb.process_reduce(
-                    RangeSpliterator(0, 1 << 12), [], operator.add,
-                    identity=0, has_identity=True,
+                total = pb.run_process(
+                    RangeSpliterator(0, 1 << 12), [],
+                    ReduceSpec(operator.add, operator.add, 0, True),
                     target_size="auto", executor=executor,
                 )
                 assert total == expected
@@ -792,11 +855,11 @@ class TestCountedLimitAbort:
                 _new_list, _acc_append, _combine_extend, None,
                 CollectorCharacteristics.IDENTITY_FINISH,
             )
-            got = pb.process_collect(
+            got = pb.run_process(
                 RangeSpliterator(0, 2 * boundary),
                 [MapOp(probe),
                  FilterOp(functools.partial(_under, threshold=boundary))],
-                collector,
+                CollectSpec(collector),
                 target_size=boundary, executor=executor, budget=budget,
             )
             assert got == list(range(budget))
@@ -819,8 +882,8 @@ class TestCountedLimitAbort:
             _new_list, _acc_append, _combine_extend, None,
             CollectorCharacteristics.IDENTITY_FINISH,
         )
-        got = pb.process_collect(
-            RangeSpliterator(0, 1 << 12), [MapOp(_double)], collector,
+        got = pb.run_process(
+            RangeSpliterator(0, 1 << 12), [MapOp(_double)], CollectSpec(collector),
             target_size=1 << 10, executor=executor, budget=100,
         )
         # Each completed leaf contributes at most ``budget`` elements and
@@ -835,8 +898,8 @@ class TestCountedLimitAbort:
             _new_list, _acc_append, _combine_extend, None,
             CollectorCharacteristics.IDENTITY_FINISH,
         )
-        got = pb.process_collect(
-            RangeSpliterator(0, 256), [MapOp(_double)], collector,
+        got = pb.run_process(
+            RangeSpliterator(0, 256), [MapOp(_double)], CollectSpec(collector),
             target_size=32, executor=executor, budget=budget,
         )
         # Per-leaf truncation bounds the overshoot; the prefix is exact.

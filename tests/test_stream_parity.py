@@ -51,6 +51,44 @@ class TestCloseHandlers:
             assert s.sum() == 3
         assert calls == ["done"]
 
+    def test_concat_runs_both_inputs_handlers(self):
+        # Java's Stream.concat: closing the result closes both inputs.
+        calls = []
+        a = Stream.of_items(1, 2).on_close(lambda: calls.append("a"))
+        b = Stream.of_items(3).on_close(lambda: calls.append("b"))
+        s = Stream.concat(a, b)
+        assert s.to_list() == [1, 2, 3]
+        s.close()
+        assert calls == ["a", "b"]
+
+
+class TestConcatKeepsConfiguration:
+    def test_backend_deadline_and_target_size_survive(self):
+        from repro.faults.policy import Deadline
+
+        deadline = Deadline.after(60.0)
+        a = (
+            Stream.range(0, 8)
+            .parallel()
+            .with_backend("sequential")
+            .with_deadline(deadline)
+        )
+        b = Stream.range(8, 16).with_target_size(3)
+        s = Stream.concat(a, b)
+        assert s.is_parallel
+        assert s._backend == "sequential"
+        assert s._deadline is deadline
+        assert s._target_size == 3
+        assert s.explain()["execution"]["backend"] == "sequential"
+        assert s.to_list() == list(range(16))
+
+    def test_first_input_wins_over_second(self):
+        a = Stream.range(0, 4).with_target_size(2).with_backend("threads")
+        b = Stream.range(4, 8).with_target_size(5).with_backend("sequential")
+        s = Stream.concat(a, b)
+        assert s._target_size == 2
+        assert s._backend == "threads"
+
 
 class TestJava9Iterate:
     def test_bounded_iterate(self):
