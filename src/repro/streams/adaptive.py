@@ -3,11 +3,12 @@
 The split threshold has so far been Java's static heuristic —
 ``max(size // (parallelism * 4), 1)`` — and AB4 showed how sensitive the
 speedup curves are to that knob.  This module closes the feedback loop
-that the observability layer opened: during an ``auto`` run the engine
-samples per-leaf span durations and the pool's steal/idle counters, folds
-them into a small per-pipeline-shape memo, and the *next* run of the same
-shape sizes its leaves from the **observed per-element cost** instead of
-the element count:
+that the observability layer opened: during every thread-backend run
+(and every ``auto`` process-backend run) the engine samples per-leaf span
+durations and the pool's steal/idle counters, folds them into a small
+per-pipeline-shape memo, and the *next* ``auto`` run of the same shape
+sizes its leaves from the **observed per-element cost** instead of the
+element count:
 
 * the policy aims each leaf at :data:`TARGET_LEAF_SPAN_NS` of wall time
   (``target = span_target / cost_per_element``), never splitting deeper
@@ -37,6 +38,18 @@ Selection mirrors the fusion/bulk controls: per-stream with
 decision (``threshold_source="auto"``) together with the inputs that
 drove it, through the *same* :func:`decide_threshold` the terminals call,
 so plans cannot drift from execution.
+
+Under either policy, a thread-backend run whose forks cannot pay for
+themselves goes **inline**: one leaf, computed in the calling thread.
+Every thread-backend run feeds the memo, so the verdict compares the
+shape's measured work (``cost_per_element × size``) with the best a
+perfect speed-up could save, against the measured pool dispatch cost of
+the tree Java's rule would build::
+
+    work × (1 − 1/min(parallelism, leaves))  ≤  leaves × dispatch
+
+An explicit ``with_target_size(n)`` is never inlined, and neither is a
+run whose cost or dispatch cost has not been measured yet.
 """
 
 from __future__ import annotations
@@ -117,6 +130,10 @@ _DEEPEN_FACTOR = 2.0
 
 _MEMO_LIMIT = 256
 
+#: The only backend whose runs may go inline: its root can run in the
+#: calling thread through the same task code.
+INLINE_BACKEND = "threads"
+
 #: ``threshold_source`` labels shared with ``Stream.explain()``.
 SOURCE_EXPLICIT = "with_target_size"
 SOURCE_SIZED = "size // (4 × parallelism)"
@@ -143,6 +160,24 @@ def fixed_target(size: int, parallelism: int, explicit: Any) -> int:
     if isinstance(explicit, int):
         return explicit
     return compute_target_size(size, parallelism)
+
+
+@functools.lru_cache(maxsize=4096)
+def walk_split_tree(size: int, target_size: int) -> tuple[int, int]:
+    """Predicted ``(leaves, depth)`` of the divide-and-conquer tree.
+
+    Mirrors ``parallel._ReduceTask``: a node at or under the target is a
+    leaf; otherwise the prefix takes ``size - size // 2`` elements and the
+    suffix ``size // 2`` (``try_split`` halves, prefix gets the extra
+    element of an odd split).  Memoized — sibling sizes repeat at every
+    level, so the walk is O(depth²) instead of O(leaves).
+    """
+    if size <= target_size:
+        return 1, 0
+    suffix = size // 2
+    left_leaves, left_depth = walk_split_tree(size - suffix, target_size)
+    right_leaves, right_depth = walk_split_tree(suffix, target_size)
+    return left_leaves + right_leaves, max(left_depth, right_depth) + 1
 
 
 # --------------------------------------------------------------------------- #
@@ -204,13 +239,18 @@ class ThresholdDecision:
     source: str
     #: For ``auto`` decisions: the measurements that drove the choice.
     inputs: dict | None
-    #: True when the adaptive policy chose (and should observe the run).
+    #: True when the adaptive policy chose the target.
     adaptive: bool
     key: tuple | None = None
+    #: True when the run goes inline: one leaf, computed in the caller.
+    inline: bool = False
+    #: The break-even test's inputs (see :meth:`SplitPolicy.judge_inline`),
+    #: or None when the run was not judged.
+    cutoff: dict | None = None
 
 
 class RunObservation:
-    """Per-run sample sheet an ``auto`` terminal fills in while it runs.
+    """Per-run sample sheet a terminal fills in while it runs.
 
     Thread-backend leaves call :meth:`record_leaf` (list appends — safe
     under the GIL from concurrent workers); the process backend calls
@@ -267,7 +307,10 @@ class RunObservation:
         if overhead_ns > 0:
             self.dispatch_ns.append(overhead_ns)
 
-    def complete(self, pool: Any = None) -> None:
+    def complete(self, pool: Any = None, probe_dispatch: bool = True) -> None:
+        """Fold the run into the memo; ``probe_dispatch=False`` skips the
+        thread-pool dispatch probe (runs the inline verdict never judges
+        have no use for it)."""
         if pool is not None and self._pool_before is not None:
             after = pool.scheduling_snapshot()
             before = self._pool_before
@@ -283,7 +326,7 @@ class RunObservation:
             # The process backend measured its own dispatch overhead; the
             # minimum sample is the least-contended (truest) one.
             _policy.note_dispatch_cost(backend, min(self.dispatch_ns))
-        elif pool is not None:
+        elif pool is not None and probe_dispatch:
             # Thread backend: probe the pool's submit→join round trip
             # directly (cheap, and refreshed only every few dozen runs).
             _policy.maybe_measure_dispatch(backend, pool)
@@ -311,9 +354,10 @@ class SplitPolicy:
     """The adaptive threshold policy: a shape-keyed cost memo + feedback.
 
     Deciding is read-only with respect to the memo (``explain()`` may call
-    it freely); only :meth:`observe_run` — fed by completed ``auto``
-    terminals — mutates state.  All state is process-local; worker
-    children never consult it (they receive resolved sizes in payloads).
+    it freely); only :meth:`observe_run` — fed by completed thread-backend
+    terminals and ``auto`` process-backend terminals — mutates state.
+    All state is process-local; worker children never consult it (they
+    receive resolved sizes in payloads).
     """
 
     def __init__(
@@ -337,7 +381,7 @@ class SplitPolicy:
         self._dispatch_runs: dict[str, int] = {}
         self._stats = {
             "decisions": 0, "bootstrap": 0,
-            "coarsened": 0, "deepened": 0, "observed_runs": 0,
+            "coarsened": 0, "deepened": 0, "observed_runs": 0, "inlined": 0,
         }
 
     # -- dispatch-cost-derived span target ----------------------------------- #
@@ -374,7 +418,17 @@ class SplitPolicy:
     def maybe_measure_dispatch(self, backend: str, pool: Any) -> None:
         """Probe ``pool``'s per-task dispatch cost if this backend's
         estimate is due for a refresh (first run, then every
-        :data:`_DISPATCH_REFRESH_RUNS` observed runs)."""
+        :data:`_DISPATCH_REFRESH_RUNS` observed runs).
+
+        Runs finishing on one of ``pool``'s own workers (a parallel stream
+        nested in a leaf) never probe: from there ``pool.invoke`` runs the
+        task inline, so the probe would time a call, not a dispatch.
+        """
+        from repro.forkjoin.pool import current_worker
+
+        worker = current_worker()
+        if worker is not None and worker.pool is pool:
+            return
         with self._lock:
             if self._span_pinned:
                 return
@@ -436,6 +490,53 @@ class SplitPolicy:
             self.target_chunk_span_ns / cost, _MIN_CHUNK, _MAX_CHUNK
         )
         return ThresholdDecision(target, chunk, SOURCE_AUTO, inputs, True, key)
+
+    def judge_inline(
+        self, decision: ThresholdDecision, size: int, parallelism: int,
+        record: bool = True,
+    ) -> ThresholdDecision:
+        """Apply the inline verdict to a thread-backend ``decision``.
+
+        The run goes inline when even a perfect speed-up cannot repay the
+        forks of the tree ``decision`` would build:
+        ``work × (1 − 1/min(parallelism, leaves)) ≤ leaves × dispatch``,
+        with ``work`` the shape's measured per-element cost × ``size`` and
+        ``dispatch`` the measured per-task pool dispatch cost.  Decisions
+        that cannot be judged (another backend, unsized source, nothing
+        measured yet) come back unchanged.
+        """
+        key = decision.key
+        if key is None or key[0] != INLINE_BACKEND or size == UNKNOWN_SIZE:
+            return decision
+        with self._lock:
+            entry = self._memo.get(key)
+            cost = entry.cost_ns if entry is not None else 0.0
+            dispatch = self._dispatch_ns.get(INLINE_BACKEND, 0.0)
+        if cost <= 0.0 or dispatch <= 0.0:
+            return decision
+        leaves = walk_split_tree(size, decision.target_size)[0]
+        work = cost * size
+        saving = work * (1.0 - 1.0 / min(parallelism, leaves))
+        fork_cost = leaves * dispatch
+        inline = saving <= fork_cost
+        cutoff = {
+            "work_ns": round(work),
+            "leaves": leaves,
+            "dispatch_ns": round(dispatch, 1),
+            "best_saving_ns": round(saving),
+            "fork_cost_ns": round(fork_cost),
+            "inline": inline,
+        }
+        target = decision.target_size
+        if inline:
+            target = max(size, 1)
+            if record:
+                with self._lock:
+                    self._stats["inlined"] += 1
+        return ThresholdDecision(
+            target, decision.chunk_size, decision.source, decision.inputs,
+            decision.adaptive, key, inline, cutoff,
+        )
 
     # -- learning ----------------------------------------------------------- #
 
@@ -631,12 +732,17 @@ def decide_threshold(
     never disagree.  ``explicit`` is an integer from ``with_target_size``,
     the string ``"auto"``, or None (use the session policy).  ``record``
     is False for explain calls so plans don't pollute the stats.
+
+    A thread-backend decision without an explicit integer then gets the
+    inline verdict (:meth:`SplitPolicy.judge_inline`).
     """
     if isinstance(explicit, int):
         return ThresholdDecision(explicit, None, SOURCE_EXPLICIT, None, False, key)
-    if not wants_auto(explicit):
+    if wants_auto(explicit):
+        decision = _policy.decide(size, parallelism, key, record=record)
+    else:
         source = SOURCE_UNKNOWN if size == UNKNOWN_SIZE else SOURCE_SIZED
-        return ThresholdDecision(
+        decision = ThresholdDecision(
             compute_target_size(size, parallelism), None, source, None, False, key,
         )
-    return _policy.decide(size, parallelism, key, record=record)
+    return _policy.judge_inline(decision, size, parallelism, record=record)

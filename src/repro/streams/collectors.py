@@ -39,29 +39,34 @@ _IDENTITY_UNORDERED = (
 )
 
 
+# The stock collectors below are built from builtin methods and
+# module-level functions, not lambdas or closures, so they pickle and the
+# process backend ships one container per leaf instead of every element.
+
+
+def _concat(a: list, b: list) -> list:
+    a.extend(b)
+    return a
+
+
+def _union(a: set, b: set) -> set:
+    a.update(b)
+    return a
+
+
 def to_list() -> Collector[T, list[T], list[T]]:
     """Collect elements into a list, in encounter order."""
-
-    def combine(a: list[T], b: list[T]) -> list[T]:
-        a.extend(b)
-        return a
-
     return Collector.of(
-        list, lambda acc, t: acc.append(t), combine, None, _IDENTITY,
-        chunk_accumulator=lambda acc, chunk: acc.extend(chunk),
+        list, list.append, _concat, None, _IDENTITY,
+        chunk_accumulator=list.extend,
     )
 
 
 def to_set() -> Collector[T, set[T], set[T]]:
     """Collect elements into a set (unordered)."""
-
-    def combine(a: set[T], b: set[T]) -> set[T]:
-        a.update(b)
-        return a
-
     return Collector.of(
-        set, lambda acc, t: acc.add(t), combine, None, _IDENTITY_UNORDERED,
-        chunk_accumulator=lambda acc, chunk: acc.update(chunk),
+        set, set.add, _union, None, _IDENTITY_UNORDERED,
+        chunk_accumulator=set.update,
     )
 
 
@@ -117,23 +122,32 @@ def joining(
     )
 
 
+def _new_count() -> list[int]:
+    return [0]
+
+
+def _count_one(acc: list[int], _t: Any) -> None:
+    acc[0] += 1
+
+
+def _count_chunk(acc: list[int], chunk) -> None:
+    acc[0] += len(chunk)
+
+
+def _add_counts(a: list[int], b: list[int]) -> list[int]:
+    a[0] += b[0]
+    return a
+
+
+def _count_value(acc: list[int]) -> int:
+    return acc[0]
+
+
 def counting() -> Collector[T, list[int], int]:
     """Count elements."""
-
-    def combine(a: list[int], b: list[int]) -> list[int]:
-        a[0] += b[0]
-        return a
-
-    def accumulate(acc: list[int], _t: T) -> None:
-        acc[0] += 1
-
-    def accumulate_chunk(acc: list[int], chunk) -> None:
-        acc[0] += len(chunk)
-
     return Collector.of(
-        lambda: [0], accumulate, combine, lambda acc: acc[0],
-        CollectorCharacteristics.UNORDERED,
-        chunk_accumulator=accumulate_chunk,
+        _new_count, _count_one, _add_counts, _count_value,
+        CollectorCharacteristics.UNORDERED, chunk_accumulator=_count_chunk,
     )
 
 

@@ -16,10 +16,10 @@ that can drift:
   exact predicates ``run_pipeline`` branches on;
 * the leaf threshold goes through the real
   :func:`~repro.streams.adaptive.decide_threshold` — the same function
-  the terminals call, including the ``auto`` split-policy path (read-only
-  against the memo, so explaining never records a decision) — and the
-  split tree is walked with the real halving rule (prefix gets
-  ``size - size // 2``).
+  the terminals call, including the ``auto`` split-policy path and the
+  inline verdict (read-only against the memo, so explaining never records
+  a decision) — and the split tree is walked with the real halving rule
+  (:func:`~repro.streams.adaptive.walk_split_tree`).
 
 Everything is returned as a plain dict (pinned by tests) with a pretty
 text rendering via :meth:`ExplainPlan.render`.
@@ -28,7 +28,6 @@ text rendering via :meth:`ExplainPlan.render`.
 from __future__ import annotations
 
 import copy
-from functools import lru_cache
 
 from repro.forkjoin.pool import common_pool_parallelism
 from repro.streams.fusion import FusedOp, fuse_ops, fusion_enabled
@@ -37,7 +36,7 @@ from repro.streams.ops import (
     Op,
     select_mode,
 )
-from repro.streams.adaptive import decide_threshold, shape_key
+from repro.streams.adaptive import decide_threshold, shape_key, walk_split_tree
 from repro.streams.spliterator import UNKNOWN_SIZE, Characteristics, Spliterator
 
 #: Mode names reported under ``execution.mode`` / ``segments[].mode`` —
@@ -79,24 +78,6 @@ def _predict_mode(ops: list[Op], force_short_circuit: bool = False) -> str:
     traversal takes the chunked path.
     """
     return _MODE_NAMES[select_mode(ops, force_short_circuit)]
-
-
-@lru_cache(maxsize=4096)
-def _walk_split_tree(size: int, target_size: int) -> tuple[int, int]:
-    """Predicted ``(leaves, depth)`` of the divide-and-conquer tree.
-
-    Mirrors ``_ReduceTask``: a node at or under the target is a leaf;
-    otherwise the prefix takes ``size - size // 2`` elements and the
-    suffix ``size // 2`` (``try_split`` halves, prefix gets the extra
-    element of an odd split).  Memoized — sibling sizes repeat at every
-    level, so the walk is O(depth²) instead of O(leaves).
-    """
-    if size <= target_size:
-        return 1, 0
-    suffix = size // 2
-    left_leaves, left_depth = _walk_split_tree(size - suffix, target_size)
-    right_leaves, right_depth = _walk_split_tree(suffix, target_size)
-    return left_leaves + right_leaves, max(left_depth, right_depth) + 1
 
 
 def _fusion_section(ops: list[Op]) -> tuple[dict, list[Op]]:
@@ -245,12 +226,17 @@ def _parallel_execution(
     if decision.inputs is not None:
         execution["threshold_inputs"] = decision.inputs
     execution["target_size"] = target
+    # The inline verdict (one leaf in the calling thread when the forks
+    # cannot repay themselves) with its break-even inputs, for runs the
+    # cutoff judged.
+    if decision.cutoff is not None:
+        execution["cutoff"] = decision.cutoff
 
     # The split tree is only predictable for a sized source; the shape of
     # later segments depends on barrier output sizes (e.g. after filter),
     # so the prediction covers the first segment.
     if size is not None:
-        leaves, depth = _walk_split_tree(size, target)
+        leaves, depth = walk_split_tree(size, target)
         execution["split_tree"] = {"leaves": leaves, "depth": depth}
     else:
         execution["split_tree"] = None
@@ -343,6 +329,15 @@ class ExplainPlan:
                 f"cost≈{inputs['cost_per_element_ns']}ns/element, "
                 f"bias={inputs['bias']}, "
                 f"observed_runs={inputs['observed_runs']}"
+            )
+        cutoff = ex.get("cutoff")
+        if cutoff is not None:
+            verdict = "inline in the caller" if cutoff["inline"] else "fork"
+            lines.append(
+                f"     cutoff: {verdict}; best saving "
+                f"{cutoff['best_saving_ns']}ns vs {cutoff['leaves']} "
+                f"leaves × {cutoff['dispatch_ns']}ns dispatch "
+                f"(work≈{cutoff['work_ns']}ns)"
             )
         for i, seg in enumerate(ex["segments"]):
             chain = " → ".join(seg["ops"]) if seg["ops"] else "(passthrough)"

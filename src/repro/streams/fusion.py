@@ -563,128 +563,134 @@ class FusedOp(Op):
         return out
 
     def wrap_sink(self, downstream: Sink) -> Sink:
-        element_kernel = self._element_kernel
-        down_accept = downstream.accept
-        down_accept_chunk = downstream.accept_chunk
-        down_cancelled = downstream.cancellation_requested
-
         if not self._state_spec:
-            chunk_kernel = self._chunk_kernel
-            ufunc_prefix = self._ufunc_prefix
-            tail_kernel = self._tail_kernel
-            whole_kernel = self._whole_kernel
-            size_preserving = self._size_preserving
-
-            class _FusedSink(ChainedSink):
-                def begin(self, size):
-                    self.downstream.begin(size if size_preserving else -1)
-
-                def accept(self, item):
-                    element_kernel(item, down_accept, down_cancelled, None)
-
-                def accept_chunk(self, chunk):
-                    if ufunc_prefix and isinstance(chunk, _np.ndarray):
-                        if whole_kernel is not None:
-                            down_accept_chunk(whole_kernel(chunk))
-                            return
-                        for ufunc in ufunc_prefix:
-                            chunk = ufunc(chunk)
-                        if tail_kernel is not None:
-                            chunk = tail_kernel(chunk)
-                        down_accept_chunk(chunk)
-                        return
-                    down_accept_chunk(chunk_kernel(chunk))
-
-            return _FusedSink(downstream)
-
-        make_state = self._make_state
-        limit_slots = self._limit_slots
-        project = self._project_size
-
+            return _FusedSink(self, downstream)
         if self._window is not None:
-            wlo, whi = self._window
-            window_kernel = self._window_kernel
-            whole_kernel = self._whole_kernel
+            return _CountedWindowSink(self, downstream)
+        return _StatefulFusedSink(self, downstream)
 
-            class _CountedWindowSink(ChainedSink):
-                def __init__(self, downstream):
-                    super().__init__(downstream)
-                    self._pos = 0
-                    self._state = make_state()
 
-                def begin(self, size):
-                    self._pos = 0
-                    self._state = make_state()
-                    self.downstream.begin(project(size))
+# The three sink classes are defined once, not per ``wrap_sink`` call:
+# building a class costs ~20 µs, paid per traversal — per leaf on the
+# parallel paths.  ``accept`` is a per-instance closure held in a slot, so
+# the per-element path reads the kernel and the downstream callbacks from
+# closure cells rather than attributes.
 
-                def accept(self, item):
-                    element_kernel(
-                        item, down_accept, down_cancelled, self._state
-                    )
 
-                def accept_chunk(self, chunk):
-                    pos = self._pos
-                    ln = len(chunk)
-                    self._pos = pos + ln
-                    lo = wlo - pos
-                    if lo < 0:
-                        lo = 0
-                    hi = ln if whi is None else whi - pos
-                    if hi > ln:
-                        hi = ln
-                    if lo >= hi:
-                        return
-                    if lo > 0 or hi < ln:
-                        # ndarray/range slices are views — the window cut
-                        # costs O(1), and the map kernel only ever touches
-                        # elements inside the window.
-                        chunk = chunk[lo:hi]
-                    if whole_kernel is not None and isinstance(
-                        chunk, _np.ndarray
-                    ):
-                        chunk = whole_kernel(chunk)
-                    elif window_kernel is not None:
-                        chunk = window_kernel(chunk)
-                    down_accept_chunk(chunk)
+def _element_accept(op: FusedOp, downstream: Sink, state: list | None):
+    kernel = op._element_kernel
+    down_accept = downstream.accept
+    down_cancelled = downstream.cancellation_requested
 
-                def cancellation_requested(self):
-                    if whi is not None and self._pos >= whi:
-                        return True
-                    state = self._state
-                    for j in limit_slots:
-                        if state[j] <= 0:
-                            return True
-                    return down_cancelled()
+    def accept(item):
+        kernel(item, down_accept, down_cancelled, state)
 
-            return _CountedWindowSink(downstream)
+    return accept
 
-        chunk_kernel = self._chunk_kernel
 
-        class _StatefulFusedSink(ChainedSink):
-            def __init__(self, downstream):
-                super().__init__(downstream)
-                self._state = make_state()
+class _FusedSink(ChainedSink):
+    """Sink of a fused run without counted or distinct stages."""
 
-            def begin(self, size):
-                self._state = make_state()
-                self.downstream.begin(project(size))
+    __slots__ = ("_op", "_down_accept_chunk", "accept")
 
-            def accept(self, item):
-                element_kernel(
-                    item, down_accept, down_cancelled, self._state
-                )
+    def __init__(
+        self, op: FusedOp, downstream: Sink, state: list | None = None
+    ) -> None:
+        super().__init__(downstream)
+        self._op = op
+        self._down_accept_chunk = downstream.accept_chunk
+        self.accept = _element_accept(op, downstream, state)
 
-            def accept_chunk(self, chunk):
-                down_accept_chunk(chunk_kernel(chunk, self._state))
+    def begin(self, size):
+        self.downstream.begin(size if self._op._size_preserving else -1)
 
-            def cancellation_requested(self):
-                state = self._state
-                for j in limit_slots:
-                    if state[j] <= 0:
-                        return True
-                return down_cancelled()
+    def accept_chunk(self, chunk):
+        op = self._op
+        if op._ufunc_prefix and isinstance(chunk, _np.ndarray):
+            if op._whole_kernel is not None:
+                self._down_accept_chunk(op._whole_kernel(chunk))
+                return
+            for ufunc in op._ufunc_prefix:
+                chunk = ufunc(chunk)
+            if op._tail_kernel is not None:
+                chunk = op._tail_kernel(chunk)
+            self._down_accept_chunk(chunk)
+            return
+        self._down_accept_chunk(op._chunk_kernel(chunk))
 
-        return _StatefulFusedSink(downstream)
+
+class _StatefulFusedSink(_FusedSink):
+    """Sink of a fused run with counted (limit/skip) or distinct stages:
+    their budgets and seen-sets live in a per-traversal state vector,
+    reset in place by ``begin`` (the ``accept`` closure holds it)."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, op: FusedOp, downstream: Sink) -> None:
+        state = op._make_state()
+        super().__init__(op, downstream, state)
+        self._state = state
+
+    def begin(self, size):
+        op = self._op
+        self._state[:] = op._make_state()
+        self.downstream.begin(op._project_size(size))
+
+    def accept_chunk(self, chunk):
+        self._down_accept_chunk(self._op._chunk_kernel(chunk, self._state))
+
+    def cancellation_requested(self):
+        state = self._state
+        for j in self._op._limit_slots:
+            if state[j] <= 0:
+                return True
+        return self.downstream.cancellation_requested()
+
+
+class _CountedWindowSink(_StatefulFusedSink):
+    """Sink of a counted run whose maps are all 1:1: the counted ops
+    compose to one source-index window cut off each chunk."""
+
+    __slots__ = ("_pos",)
+
+    def __init__(self, op: FusedOp, downstream: Sink) -> None:
+        super().__init__(op, downstream)
+        self._pos = 0
+
+    def begin(self, size):
+        self._pos = 0
+        super().begin(size)
+
+    def accept_chunk(self, chunk):
+        op = self._op
+        wlo, whi = op._window
+        pos = self._pos
+        ln = len(chunk)
+        self._pos = pos + ln
+        lo = wlo - pos
+        if lo < 0:
+            lo = 0
+        hi = ln if whi is None else whi - pos
+        if hi > ln:
+            hi = ln
+        if lo >= hi:
+            return
+        if lo > 0 or hi < ln:
+            # ndarray/range slices are views — the window cut costs O(1),
+            # and the map kernel only ever touches elements inside the
+            # window.
+            chunk = chunk[lo:hi]
+        if op._whole_kernel is not None and isinstance(chunk, _np.ndarray):
+            chunk = op._whole_kernel(chunk)
+        elif op._window_kernel is not None:
+            chunk = op._window_kernel(chunk)
+        self._down_accept_chunk(chunk)
+
+    def cancellation_requested(self):
+        whi = self._op._window[1]
+        if whi is not None and self._pos >= whi:
+            return True
+        return super().cancellation_requested()
 
 
 # --------------------------------------------------------------------------- #

@@ -130,31 +130,30 @@ def _resolve_threshold(
     pool: ForkJoinPool,
     requested,
     observe: bool = True,
-) -> tuple[int, int | None, "adaptive.RunObservation | None"]:
+) -> tuple["adaptive.ThresholdDecision", "adaptive.RunObservation | None"]:
     """Resolve one terminal's split threshold through the shared decision
     function (:func:`repro.streams.adaptive.decide_threshold` — the same
     one ``Stream.explain()`` consults, so plans cannot drift).
 
-    Returns ``(target_size, chunk_size, observer)``; the observer is
-    non-None only for ``auto`` decisions that should feed the policy memo
-    (``observe=False`` for find terminals, whose leaves stop early by
-    design and would poison the per-element cost estimate).
+    Returns ``(decision, observer)``.  Every run is observed so the memo
+    learns each shape's cost, which the inline verdict reads; the observer
+    is None only for ``observe=False`` (find terminals and budgeted
+    collects, whose leaves stop early by design and would poison the
+    per-element cost estimate).
     """
-    size = spliterator.estimate_size()
-    if not adaptive.wants_auto(requested):
-        # Fixed-policy fast path: skip shape fingerprinting entirely.
-        return adaptive.fixed_target(size, pool.parallelism, requested), None, None
     key = adaptive.shape_key(ops, spliterator, pool.parallelism, backend="threads")
     decision = adaptive.decide_threshold(
-        size, pool.parallelism, explicit=requested, key=key
+        spliterator.estimate_size(), pool.parallelism,
+        explicit=requested, key=key,
     )
     observer = None
     if observe:
+        # An inline run touches no worker: no steal/idle deltas to read.
         observer = adaptive.RunObservation(
             key, pool.parallelism, decision.target_size,
-            pool_snapshot=pool.scheduling_snapshot(),
+            pool_snapshot=None if decision.inline else pool.scheduling_snapshot(),
         )
-    return decision.target_size, decision.chunk_size, observer
+    return decision, observer
 
 
 class _TerminalContext:
@@ -182,7 +181,7 @@ class _TerminalContext:
         self.failure: BaseException | None = None
         self._lock = threading.Lock()
         self.pool = pool
-        #: RunObservation for an adaptive (``auto``) run, else None; leaves
+        #: The run's RunObservation (None for find terminals); leaves
         #: record their span durations here for the split policy.
         self.observer = observer
 
@@ -381,6 +380,7 @@ def _invoke_fail_fast(
     root: _ReduceTask,
     ctx: _TerminalContext,
     deadline: Deadline | None = None,
+    inline: bool = False,
 ):
     """Run ``root`` on ``pool``, guaranteeing the *original* failure wins.
 
@@ -392,20 +392,25 @@ def _invoke_fail_fast(
     A ``deadline`` bounds the external wait: the remaining budget becomes
     ``pool.invoke``'s timeout, so an overrunning terminal surfaces as
     :class:`~repro.common.TaskTimeoutError` instead of blocking forever.
+    An ``inline`` root (a one-leaf tree) runs in the calling thread
+    instead, with the deadline checked before and after it.
     """
     timeout = None
     if deadline is not None:
         deadline.check("parallel terminal")
         timeout = deadline.remaining()
     try:
-        return pool.invoke(root, timeout=timeout)
+        if not inline:
+            return pool.invoke(root, timeout=timeout)
+        result = root.invoke()
+        if deadline is not None:
+            deadline.check("parallel terminal")
+        return result
     except BaseException as exc:
         original = ctx.failure
         if original is not None and exc is not original:
             raise original from None
         raise
-
-
 
 
 def run_threads(
@@ -435,10 +440,20 @@ def run_threads(
     source positions cancels still-running sibling leaves once the
     contiguous prefix of completed leaves has produced ``n`` outputs.
     The caller truncates the merged buffer.
+
+    When the decision's inline verdict holds (the forks cannot repay
+    themselves, see :mod:`repro.streams.adaptive`), the tree is one leaf
+    and its root runs in the calling thread, not on the pool; a pool
+    that was shut down still rejects the run.
     """
-    target_size, chunk_size, observer = _resolve_threshold(
-        spliterator, ops, pool, target_size, observe=spec.observes
+    # A budgeted run cancels leaves mid-scan once the limit is met, so its
+    # spans would teach the memo a cost far below the shape's real one.
+    decision, observer = _resolve_threshold(
+        spliterator, ops, pool, target_size,
+        observe=spec.observes and budget is None,
     )
+    chunk_size = decision.chunk_size
+    inline = decision.inline and not pool.is_shutdown()
     prefix = None
     if budget is not None:
         root_origin = _leaf_origin(spliterator)
@@ -470,8 +485,9 @@ def run_threads(
             cancel.set()
         return partial
 
-    root = _ReduceTask(spliterator, target_size, leaf, spec.merge, ctx)
-    merged = _invoke_fail_fast(pool, root, ctx, deadline)
+    root = _ReduceTask(spliterator, decision.target_size, leaf, spec.merge, ctx)
+    merged = _invoke_fail_fast(pool, root, ctx, deadline, inline)
     if observer is not None and spec.feeds_memo(merged):
-        observer.complete(pool)
+        # An explicit integer target is never inlined: no dispatch probe.
+        observer.complete(pool, probe_dispatch=not isinstance(target_size, int))
     return spec.finish(merged)

@@ -26,6 +26,17 @@ _SIZED_FLAGS = (
     | Characteristics.SIZED
     | Characteristics.SUBSIZED
 )
+# Flag sets built once: ``IntFlag`` arithmetic costs microseconds per
+# operator, and ``characteristics()`` runs several times per leaf.
+_LIST_FLAGS = _SIZED_FLAGS | Characteristics.IMMUTABLE
+_LIST_POWER2_FLAGS = _LIST_FLAGS | Characteristics.POWER2
+_RANGE_FLAGS = (
+    _LIST_FLAGS
+    | Characteristics.DISTINCT
+    | Characteristics.SORTED
+    | Characteristics.NONNULL
+)
+_RANGE_POWER2_FLAGS = _RANGE_FLAGS | Characteristics.POWER2
 
 
 class ListSpliterator(Spliterator[T]):
@@ -93,10 +104,11 @@ class ListSpliterator(Spliterator[T]):
         return self._fence - self._index
 
     def characteristics(self) -> Characteristics:
-        flags = _SIZED_FLAGS | Characteristics.IMMUTABLE | self._extra
         if is_power_of_two(self._fence - self._index):
-            flags |= Characteristics.POWER2
-        return flags
+            flags = _LIST_POWER2_FLAGS
+        else:
+            flags = _LIST_FLAGS
+        return flags | self._extra if self._extra else flags
 
 
 class ArraySpliterator(ListSpliterator[T]):
@@ -158,16 +170,9 @@ class RangeSpliterator(Spliterator[int]):
         return self._hi - self._lo
 
     def characteristics(self) -> Characteristics:
-        flags = (
-            _SIZED_FLAGS
-            | Characteristics.IMMUTABLE
-            | Characteristics.DISTINCT
-            | Characteristics.SORTED
-            | Characteristics.NONNULL
-        )
         if is_power_of_two(self._hi - self._lo):
-            flags |= Characteristics.POWER2
-        return flags
+            return _RANGE_POWER2_FLAGS
+        return _RANGE_FLAGS
 
 
 class IteratorSpliterator(Spliterator[T]):
@@ -241,6 +246,67 @@ class IteratorSpliterator(Spliterator[T]):
         if self._size_estimate != UNKNOWN_SIZE:
             flags |= Characteristics.SIZED | Characteristics.SUBSIZED
         return flags
+
+
+class ConcatSpliterator(Spliterator[T]):
+    """``first``'s elements, then ``second``'s (Java's
+    ``Streams.ConcatSpliterator``, behind ``Stream.concat``).
+
+    Nothing is traversed until a terminal pulls.  The first split hands
+    ``first`` off whole as the prefix; from then on this spliterator is
+    ``second``.  The concatenation is sized when both inputs are, and is
+    neither ``DISTINCT``, ``SORTED`` nor ``POWER2`` before that split.
+    """
+
+    __slots__ = ("_first", "_second", "_before_split")
+
+    def __init__(self, first: Spliterator[T], second: Spliterator[T]) -> None:
+        self._first = first
+        self._second = second
+        self._before_split = True
+
+    def try_advance(self, action: Callable[[T], None]) -> bool:
+        if self._before_split:
+            if self._first.try_advance(action):
+                return True
+            self._before_split = False
+        return self._second.try_advance(action)
+
+    def for_each_remaining(self, action: Callable[[T], None]) -> None:
+        if self._before_split:
+            self._first.for_each_remaining(action)
+            self._before_split = False
+        self._second.for_each_remaining(action)
+
+    def next_chunk(self, max_size: int) -> Sequence[T]:
+        if self._before_split:
+            chunk = self._first.next_chunk(max_size)
+            if len(chunk):
+                return chunk
+            self._before_split = False
+        return self._second.next_chunk(max_size)
+
+    def try_split(self) -> "Spliterator[T] | None":
+        if self._before_split:
+            self._before_split = False
+            return self._first
+        return self._second.try_split()
+
+    def estimate_size(self) -> int:
+        if not self._before_split:
+            return self._second.estimate_size()
+        total = self._first.estimate_size() + self._second.estimate_size()
+        return min(total, UNKNOWN_SIZE)
+
+    def characteristics(self) -> Characteristics:
+        if not self._before_split:
+            return self._second.characteristics()
+        return (
+            self._first.characteristics()
+            & self._second.characteristics()
+            & ~(Characteristics.DISTINCT | Characteristics.SORTED
+                | Characteristics.POWER2)
+        )
 
 
 class EmptySpliterator(Spliterator[T]):

@@ -49,6 +49,7 @@ from repro.streams.ops import (
 from repro.streams.optional import Optional
 from repro.streams.spliterator import Spliterator
 from repro.streams.spliterators import (
+    ConcatSpliterator,
     EmptySpliterator,
     IteratorSpliterator,
     ListSpliterator,
@@ -177,13 +178,14 @@ class Stream:
     def concat(first: "Stream", second: "Stream") -> "Stream":
         """Concatenate two streams (both are consumed).
 
-        Like Java's ``Stream.concat``, the result is parallel if either
-        input is, and closing it runs both inputs' close handlers (first's,
-        then second's).  Pool, target size, deadline and backend come from
+        Like Java's ``Stream.concat``, the result is lazy (neither input is
+        traversed until its terminal runs), parallel if either input is,
+        and closing it runs both inputs' close handlers (first's, then
+        second's).  Pool, target size, deadline and backend come from
         ``first`` where it set them, else from ``second``.
         """
         handlers = first._close_handlers + second._close_handlers
-        out = Stream.of_iterable(first.to_list() + second.to_list())
+        out = Stream(ConcatSpliterator(first.spliterator(), second.spliterator()))
         out._parallel = first._parallel or second._parallel
         out._close_handlers = handlers
         for name in ("_pool", "_target_size", "_deadline", "_backend"):

@@ -45,7 +45,8 @@ import pickle
 import threading
 from typing import Any, Callable, Sequence
 
-from repro.streams.collector import Collector, CollectorCharacteristics
+from repro.streams import collectors
+from repro.streams.collector import Collector
 from repro.streams.ops import Op, Sink, run_pipeline
 from repro.streams.optional import Optional
 from repro.streams.spliterator import Spliterator
@@ -276,19 +277,6 @@ class TerminalSpec:
         return self, self.fold
 
 
-def _append(container: list, item: Any) -> None:
-    container.append(item)
-
-
-def _extend(container: list, chunk) -> None:
-    container.extend(chunk)
-
-
-def _concat(a: list, b: list) -> list:
-    a.extend(b)
-    return a
-
-
 class CollectSpec(TerminalSpec):
     """Mutable reduction (``Stream.collect``)."""
 
@@ -340,13 +328,8 @@ class CollectSpec(TerminalSpec):
 
 
 #: Element-list leaves: what process workers run for collectors that do
-#: not pickle (the stock library builds its collectors from lambdas).
-_ELEMENT_LISTS = CollectSpec(
-    Collector.of(
-        list, _append, _concat, None,
-        CollectorCharacteristics.IDENTITY_FINISH, chunk_accumulator=_extend,
-    )
-)
+#: not pickle (lambdas or closures in user-built collectors).
+_ELEMENT_LISTS = CollectSpec(collectors.to_list())
 
 
 class ReduceSpec(TerminalSpec):

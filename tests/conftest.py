@@ -6,11 +6,22 @@ survives the interpreter.  The guard below asserts every segment created
 during the run was released by the code under test before the session
 ends, then tears down the shared worker-process pool so no child outlives
 pytest.
+
+Every thread-backend run feeds the split policy's cost memo, and a cost
+learned in one test may turn another test's parallel query into an
+inline run (one leaf, no combiner call).  Each test therefore starts
+from an empty memo.
 """
 
 import pytest
 
 from repro.powerlist import shm
+from repro.streams.adaptive import reset_split_policy
+
+
+@pytest.fixture(autouse=True)
+def _fresh_split_policy():
+    reset_split_policy()
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -11,7 +11,7 @@ import pytest
 from repro.forkjoin import ForkJoinPool
 from repro.obs import tracing
 from repro.streams import ExplainPlan, Stream, bulk_stats, fusion, fusion_stats
-from repro.streams.explain import _walk_split_tree
+from repro.streams.adaptive import walk_split_tree
 
 
 def _triple(x):
@@ -335,4 +335,4 @@ class TestSplitTreeWalk:
         ],
     )
     def test_shapes(self, size, target, leaves, depth):
-        assert _walk_split_tree(size, target) == (leaves, depth)
+        assert walk_split_tree(size, target) == (leaves, depth)

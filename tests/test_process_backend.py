@@ -246,6 +246,36 @@ class TestTerminalParity:
         )
         assert got == list(range(256))
 
+    @pytest.mark.parametrize("name", ["counting", "to_list", "to_set"])
+    def test_stock_collectors_ship_one_container_per_leaf(self, name, executor):
+        from repro.streams import collectors
+
+        spec = CollectSpec(getattr(collectors, name)())
+        assert spec.for_workers()[0] is spec  # no element-list fallback
+        source = [(i * 37) % 101 for i in range(256)]
+        expected = (
+            Stream.of_iterable(source).map(_double)
+            .collect(getattr(collectors, name)())
+        )
+        got = pb.run_process(
+            ListSpliterator(source), [MapOp(_double)], spec,
+            target_size=32, executor=executor,
+        )
+        assert got == expected
+
+    def test_stock_terminals_match_sequential(self):
+        source = [(i * 37) % 101 for i in range(1 << 10)]
+
+        def run(parallel):
+            stream = Stream.of_iterable(source)
+            if parallel:
+                stream = stream.parallel().with_backend("process")
+            return stream.map(_double)
+
+        assert run(True).count() == run(False).count()
+        assert run(True).to_list() == run(False).to_list()
+        assert run(True).to_set() == run(False).to_set()
+
     def test_reduce_with_and_without_identity(self):
         expected = sum(range(1 << 10))
         stream = Stream.range(0, 1 << 10).parallel().with_backend("process")

@@ -692,3 +692,35 @@ class TestServeFaultSites:
             elapsed = time.perf_counter() - start
         assert elapsed >= 0.02
         assert ticket.result(10.0) == DATA_SUM
+
+
+class TestTinyJobsRunOnTheRunner:
+    def test_tiny_threads_job_executes_no_pool_task_after_warmup(self):
+        # Serve forces .parallel() on every job; the inline cutoff keeps a
+        # 64-element job on its runner thread once its shape is measured.
+        tiny = list(range(64))
+        with ForkJoinPool(parallelism=2, name="serve-inline") as pool:
+            svc = ExecutionService(max_workers=1, pool=pool)
+            svc.register_dataset("tiny", tiny)
+            svc.register_tenant("alice")
+            try:
+                warm = svc.submit("alice", "tiny", sum_pipeline).result(10.0)
+                assert warm == sum(tiny)
+                before = _settled_tasks(pool)
+                again = svc.submit("alice", "tiny", sum_pipeline).result(10.0)
+                assert again == sum(tiny)
+                assert _settled_tasks(pool) == before
+            finally:
+                svc.shutdown_now()
+
+
+def _settled_tasks(pool):
+    """``tasks_executed`` once it settles: a worker counts a task just
+    after the task's joiner is released."""
+    value = pool.stats()["tasks_executed"]
+    while True:
+        time.sleep(0.01)
+        again = pool.stats()["tasks_executed"]
+        if again == value:
+            return value
+        value = again

@@ -90,6 +90,52 @@ class TestConcatKeepsConfiguration:
         assert s._backend == "threads"
 
 
+class TestLazyConcat:
+    """``Stream.concat`` is evaluated at the terminal, as in Java."""
+
+    def test_inputs_untouched_until_terminal(self):
+        calls = []
+        s = Stream.concat(
+            Stream.of_items(1, 2).peek(calls.append), Stream.of_items(3)
+        )
+        assert calls == []
+        assert s.to_list() == [1, 2, 3]
+        assert calls == [1, 2]
+
+    def test_infinite_first_input_with_limit(self):
+        s = Stream.concat(Stream.iterate(0, lambda x: x + 1), Stream.of_items(-1))
+        assert s.limit(5).to_list() == [0, 1, 2, 3, 4]
+
+    def test_parallel_parity_with_ops_on_each_input(self):
+        def make():
+            return Stream.concat(
+                Stream.range(0, 300).map(lambda x: x * 2),
+                Stream.of_iterable(list(range(50))).filter(lambda x: x % 3),
+            )
+
+        expected = make().to_list()
+        assert expected == [x * 2 for x in range(300)] + [
+            x for x in range(50) if x % 3
+        ]
+        assert make().parallel().to_list() == expected
+        assert make().parallel().with_target_size(16).sum() == sum(expected)
+
+    def test_sized_when_both_inputs_are(self):
+        from repro.streams.spliterator import Characteristics
+
+        s = Stream.concat(Stream.range(0, 8), Stream.range(8, 16))
+        spliterator = s._spliterator
+        assert spliterator.get_exact_size_if_known() == 16
+        assert not spliterator.has_characteristics(Characteristics.SORTED)
+        assert not spliterator.has_characteristics(Characteristics.POWER2)
+        assert s.parallel().with_target_size(3).to_list() == list(range(16))
+        unsized = Stream.concat(
+            Stream.range(0, 8), Stream.of_iterable(iter(range(3)))
+        )
+        assert unsized._spliterator.get_exact_size_if_known() == -1
+        assert unsized.count() == 11
+
+
 class TestJava9Iterate:
     def test_bounded_iterate(self):
         out = Stream.iterate(1, lambda x: x < 100, lambda x: x * 3).to_list()
